@@ -50,17 +50,14 @@ pub const SOLVE_ROOTS: &[&str] = &[
     "cg_batch_with",
     "fgmres",
     "try_dist_amg_solve",
-    "try_dist_amg_solve_multi",
+    "dist_amg_solve_multi",
     "try_dist_vcycle",
-    "try_dist_vcycle_multi",
     "try_dist_vcycle_with",
-    "try_dist_vcycle_multi_with",
     "try_dist_fgmres_amg",
     "try_dist_pcg_amg",
     "sweep",
     "sweep_batch",
     "smooth",
-    "smooth_multi",
     "spmv",
     "spmm",
     "dist_spmv",

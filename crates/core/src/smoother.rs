@@ -11,7 +11,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::reorder::{GsPartition, ThreadOwnership};
-use famg_sparse::{Csr, MultiVec};
+use famg_sparse::{lanes, Csr, MultiVec};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -470,21 +470,6 @@ impl Smoother {
     }
 }
 
-/// Dispatches a k-wide row kernel with a monomorphized lane count for
-/// k ∈ {1, 2, 4, 8}; `K == 0` is the dynamic fallback (any k ≤ 8). The
-/// per-lane arithmetic order is identical in every arm.
-macro_rules! k_lanes {
-    ($k:expr, $func:ident ( $($arg:expr),* $(,)? )) => {
-        match $k {
-            1 => $func::<1>($($arg),*),
-            2 => $func::<2>($($arg),*),
-            4 => $func::<4>($($arg),*),
-            8 => $func::<8>($($arg),*),
-            _ => $func::<0>($($arg),*),
-        }
-    };
-}
-
 /// The k-wide twin of the optimized hybrid GS row loop (Fig. 2b): one
 /// traversal of the `[diag | own-lower | own-upper | ext]` row partition
 /// advances all `k` lanes. Per lane, the entry order and arithmetic match
@@ -667,12 +652,12 @@ impl Smoother {
                         };
                         let p = &p;
                         s.spawn(move |_| {
-                            k_lanes!(
+                            lanes!(
                                 k,
                                 hybrid_opt_rows_batch(part, nc, a, bd, p, temp, k, x_is_zero, rows)
                             );
                             if let Some(f) = extra {
-                                k_lanes!(
+                                lanes!(
                                     k,
                                     hybrid_opt_rows_batch(
                                         part, nc, a, bd, p, temp, k, x_is_zero, f
@@ -694,7 +679,7 @@ impl Smoother {
                     .enumerate()
                     .with_min_len(512)
                     .for_each(|(i, xr)| {
-                        k_lanes!(k, jacobi_row_batch(a, dinv, omega, bd, temp, k, i, xr));
+                        lanes!(k, jacobi_row_batch(a, dinv, omega, bd, temp, k, i, xr));
                     });
             }
             _ => {

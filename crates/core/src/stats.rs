@@ -124,14 +124,7 @@ impl Bucket {
 fn classify(name: &str, solve_phase: bool) -> Option<Bucket> {
     if matches!(
         name,
-        "halo"
-            | "halo_inflight"
-            | "halo_post"
-            | "halo_wait"
-            | "halo_batch"
-            | "spgemm"
-            | "gather"
-            | "scatter"
+        "halo" | "halo_inflight" | "halo_post" | "halo_wait" | "spgemm" | "gather" | "scatter"
     ) {
         return None;
     }

@@ -669,9 +669,10 @@ impl Comm {
     }
 
     /// Global per-component sum of a vector. Component `j` is combined
-    /// in rank order with the same `0 + v₀ + v₁ + …` fold as
-    /// [`allreduce_sum`](Self::allreduce_sum), so it is bitwise
-    /// identical to a scalar all-reduce of that component alone — while
+    /// in rank order with the same `-0.0 + v₀ + v₁ + …` fold as
+    /// [`allreduce_sum`](Self::allreduce_sum) (`Iterator::sum` starts
+    /// from `-0.0`), so it is bitwise identical to a scalar all-reduce of
+    /// that component alone, signed zeros included — while
     /// the whole vector rides one gather/broadcast round, keeping the
     /// message count independent of the vector length. This is how the
     /// batched solvers reduce `k` residual norms for the price of one.
@@ -680,7 +681,7 @@ impl Comm {
         self.reduce_bcast(v, tag, b, b, |all| {
             // ALLOC: k-sized combine output, once per vector all-reduce
             // (the broadcast then owns it as the message payload).
-            let mut out = vec![0.0f64; all.first().map_or(0, Vec::len)];
+            let mut out = vec![-0.0f64; all.first().map_or(0, Vec::len)];
             for rank_v in all {
                 debug_assert_eq!(rank_v.len(), out.len());
                 for (o, x) in out.iter_mut().zip(&rank_v) {

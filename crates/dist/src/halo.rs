@@ -14,7 +14,7 @@
 
 use crate::comm::{wire, Comm, RecvHandle};
 use crate::parcsr::owner_of;
-use famg_sparse::MultiVec;
+use famg_sparse::lanes;
 
 /// Tags are namespaced per module to avoid collisions between concurrent
 /// exchange phases.
@@ -55,9 +55,13 @@ pub struct VectorExchange {
 /// the interior rows of an SpMV or smoother sweep — which is what hides
 /// the communication latency.
 pub struct InFlightHalo {
-    /// External buffer; self-owned entries already filled.
+    /// External buffer, `k` lanes per planned entry; self-owned entries
+    /// already filled.
     ext: Vec<f64>,
-    /// `(peer, ext start, ext end, handle)` per receive, in plan order.
+    /// Lanes per planned entry.
+    k: usize,
+    /// `(peer, ext start, ext end, handle)` per receive, in plan order;
+    /// the ranges count planned entries, not buffer offsets.
     waits: Vec<(usize, usize, usize, RecvHandle<Vec<f64>>)>,
     /// When the sends went on the wire and the receives were posted — the
     /// moment a synchronous exchange would start blocking. `finish`
@@ -155,21 +159,33 @@ impl VectorExchange {
     /// inherit the enclosing kernel's Fig. 5 bucket in
     /// `PhaseTimes::from_span` — they exist for the chrome trace and the
     /// comm-counter attribution, not as buckets of their own.
+    pub fn post(&self, comm: &Comm, x_local: &[f64]) -> InFlightHalo {
+        self.post_lanes(comm, x_local, 1)
+    }
+
+    /// [`post`](Self::post) for `k` row-major interleaved lanes
+    /// (`x[i * k + j]`). Each neighbor receives exactly **one** message
+    /// per exchange — its envelope carries `k` values per planned index —
+    /// so the message count is the same at every width: per
+    /// right-hand side, a `k`-lane exchange costs 1/k of the messages
+    /// (the per-message latency is what distributed SpMV is bound by at
+    /// scale, §4.4). The external buffer is strided like the input, and
+    /// lane `j` of it is bitwise identical to a `k = 1` exchange of that
+    /// lane.
     // ALLOC: the external buffer is owned by the returned InFlightHalo
     // and each neighbor's packed values become that message's payload —
     // halo envelopes are allocated per exchange by design, mirroring
     // MPI send buffers.
-    pub fn post(&self, comm: &Comm, x_local: &[f64]) -> InFlightHalo {
+    pub(crate) fn post_lanes(&self, comm: &Comm, x: &[f64], k: usize) -> InFlightHalo {
         let window = famg_prof::scope("halo_inflight");
         let _post = famg_prof::scope("halo_post");
-        let mut ext = vec![0.0f64; self.ext_len];
+        let mut ext = vec![0.0f64; self.ext_len * k];
         if let Some((idx, s)) = &self.self_copy {
-            for (k, &i) in idx.iter().enumerate() {
-                ext[s + k] = x_local[i];
-            }
+            let own = lanes!(k, gather_lanes(x, idx, k));
+            ext[s * k..s * k + own.len()].copy_from_slice(&own);
         }
         for (peer, idx) in &self.send_peers {
-            let vals: Vec<f64> = idx.iter().map(|&i| x_local[i]).collect();
+            let vals = lanes!(k, gather_lanes(x, idx, k));
             let b = wire::f64s(vals.len());
             comm.send(*peer, TAG_VAL, vals, b);
         }
@@ -180,66 +196,23 @@ impl VectorExchange {
             .collect();
         InFlightHalo {
             ext,
-            waits,
-            posted_at: comm.clock_mark(),
-            window,
-        }
-    }
-
-    /// Executes a batched exchange synchronously: one envelope per
-    /// neighbor carrying all `k` columns. See [`post_multi`].
-    ///
-    /// [`post_multi`]: Self::post_multi
-    pub fn exchange_multi(&self, comm: &Comm, x_local: &MultiVec) -> Vec<f64> {
-        self.post_multi(comm, x_local).finish(comm)
-    }
-
-    /// Starts a batched exchange for all `k` columns of `x_local`: each
-    /// neighbor still receives exactly **one** message per exchange —
-    /// its envelope simply carries `k` values per planned index, laid
-    /// out row-major to match [`MultiVec`]. The message *count* is
-    /// therefore identical to the scalar [`post`](Self::post) at any
-    /// width, which is the batched path's communication amortization:
-    /// per right-hand side, halo messages cost 1/k of the solo solve
-    /// (the per-message envelope/latency cost is what distributed SpMV
-    /// is bound by at scale, §4.4).
-    ///
-    /// The returned external buffer is strided like the input: entry
-    /// `e` of column `j` lives at `ext[e * k + j]`, and column `j` is
-    /// bitwise identical to a scalar exchange of that column.
-    // ALLOC: as in `post` — the strided external buffer belongs to the
-    // returned handle and each neighbor's packed block is the message
-    // payload; one envelope per neighbor regardless of k.
-    pub fn post_multi(&self, comm: &Comm, x_local: &MultiVec) -> InFlightHaloMulti {
-        let k = x_local.k();
-        let window = famg_prof::scope("halo_batch");
-        let _post = famg_prof::scope("halo_post");
-        let xd = x_local.data();
-        let mut ext = vec![0.0f64; self.ext_len * k];
-        if let Some((idx, s)) = &self.self_copy {
-            for (e, &i) in idx.iter().enumerate() {
-                ext[(s + e) * k..(s + e + 1) * k].copy_from_slice(&xd[i * k..(i + 1) * k]);
-            }
-        }
-        for (peer, idx) in &self.send_peers {
-            let mut vals = Vec::with_capacity(idx.len() * k);
-            for &i in idx {
-                vals.extend_from_slice(&xd[i * k..(i + 1) * k]);
-            }
-            let b = wire::f64s(vals.len());
-            comm.send(*peer, TAG_VAL, vals, b);
-        }
-        let waits = self
-            .recv_peers
-            .iter()
-            .map(|&(peer, s, e)| (peer, s, e, comm.irecv(peer, TAG_VAL)))
-            .collect();
-        InFlightHaloMulti {
-            ext,
             k,
             waits,
             posted_at: comm.clock_mark(),
             window,
+        }
+    }
+
+    /// Starts a kernel's halo over `k` lanes: left in flight with
+    /// `overlap`, finished on the spot without. In both modes a kernel
+    /// does the work that reads no halo, calls [`finish`](Halo::finish),
+    /// then does the rest, so the mode only moves the wait.
+    pub(crate) fn start(&self, comm: &Comm, x: &[f64], k: usize, overlap: bool) -> Halo {
+        let inflight = self.post_lanes(comm, x, k);
+        if overlap {
+            Halo::InFlight(inflight)
+        } else {
+            Halo::Ready(inflight.finish(comm))
         }
     }
 
@@ -279,65 +252,6 @@ impl InFlightHalo {
     pub fn finish(self, comm: &Comm) -> Vec<f64> {
         let InFlightHalo {
             mut ext,
-            waits,
-            posted_at,
-            window,
-        } = self;
-        let entered = comm.clock_mark();
-        let mut last_sent: Option<std::time::Instant> = None;
-        {
-            let _wait = famg_prof::scope("halo_wait");
-            for (peer, s, e, handle) in waits {
-                let (vals, sent_at): (Vec<f64>, _) = comm.wait_timed(handle);
-                check_halo_payload(comm.rank(), peer, TAG_VAL, e - s, vals.len());
-                ext[s..e].copy_from_slice(&vals);
-                last_sent = Some(last_sent.map_or(sent_at, |m| m.max(sent_at)));
-            }
-        }
-        if let Some(last) = last_sent {
-            // `entered >= posted_at`, so exposed <= would_be; saturation
-            // only papers over clock-resolution ties.
-            let would_be = last.saturating_duration_since(posted_at);
-            let exposed = last.saturating_duration_since(entered);
-            famg_prof::counter("halo_exposed_ns", nanos(exposed));
-            famg_prof::counter("halo_hidden_ns", nanos(would_be.saturating_sub(exposed)));
-        }
-        drop(window);
-        ext
-    }
-}
-
-/// A batched halo exchange in flight (the k-wide twin of
-/// [`InFlightHalo`]): one posted receive per neighbor, each envelope
-/// carrying all `k` columns. Produced by [`VectorExchange::post_multi`].
-pub struct InFlightHaloMulti {
-    /// External buffer, strided `k` per planned index; self-owned
-    /// entries already filled.
-    ext: Vec<f64>,
-    /// Batch width.
-    k: usize,
-    /// `(peer, ext start, ext end, handle)` per receive, in plan order;
-    /// the ranges are in planned-index units, not buffer offsets.
-    waits: Vec<(usize, usize, usize, RecvHandle<Vec<f64>>)>,
-    /// Post mark for the hidden/exposed wait split (see
-    /// [`InFlightHalo::finish`]).
-    posted_at: std::time::Instant,
-    /// Keeps the `halo_batch` span open until `finish`.
-    window: famg_prof::Scope,
-}
-
-impl InFlightHaloMulti {
-    /// Completes the batched exchange: waits for every posted receive
-    /// and returns the strided external buffer (`ext[e * k + j]` is
-    /// planned entry `e`, column `j`). Wait accounting matches
-    /// [`InFlightHalo::finish`].
-    ///
-    /// # Panics
-    /// Panics with peer/tag/length diagnostics if a wire payload does
-    /// not match the planned halo range times the batch width.
-    pub fn finish(self, comm: &Comm) -> Vec<f64> {
-        let InFlightHaloMulti {
-            mut ext,
             k,
             waits,
             posted_at,
@@ -355,6 +269,8 @@ impl InFlightHaloMulti {
             }
         }
         if let Some(last) = last_sent {
+            // `entered >= posted_at`, so exposed <= would_be; saturation
+            // only papers over clock-resolution ties.
             let would_be = last.saturating_duration_since(posted_at);
             let exposed = last.saturating_duration_since(entered);
             famg_prof::counter("halo_exposed_ns", nanos(exposed));
@@ -362,6 +278,40 @@ impl InFlightHaloMulti {
         }
         drop(window);
         ext
+    }
+}
+
+/// The `k` lanes of the rows `idx` of `x`, packed row after row. A
+/// const width collects whole `[f64; K]` rows, which compiles to a plain
+/// gather loop.
+fn gather_lanes<const K: usize>(x: &[f64], idx: &[usize], k: usize) -> Vec<f64> {
+    if K == 0 {
+        idx.iter()
+            .flat_map(|&i| &x[i * k..(i + 1) * k])
+            .copied()
+            .collect()
+    } else {
+        idx.iter()
+            .map(|&i| std::array::from_fn::<f64, K, _>(|j| x[i * K + j]))
+            .collect::<Vec<_>>()
+            .into_flattened()
+    }
+}
+
+/// A kernel's halo (see [`VectorExchange::start`]): already landed in
+/// synchronous mode, still in flight in overlap mode.
+pub(crate) enum Halo {
+    Ready(Vec<f64>),
+    InFlight(InFlightHalo),
+}
+
+impl Halo {
+    /// The external buffer, waiting for it if it is still in flight.
+    pub(crate) fn finish(self, comm: &Comm) -> Vec<f64> {
+        match self {
+            Halo::Ready(ext) => ext,
+            Halo::InFlight(inflight) => inflight.finish(comm),
+        }
     }
 }
 
@@ -697,6 +647,7 @@ mod tests {
     use crate::comm::run_ranks;
     use crate::parcsr::{default_partition, ParCsr};
     use famg_matgen::laplace2d;
+    use famg_sparse::MultiVec;
 
     #[test]
     fn vector_exchange_gathers_correct_elements() {
@@ -849,80 +800,45 @@ mod tests {
         check_halo_payload(0, 1, TAG_VAL, 3, 2);
     }
 
-    /// The batched exchange posts exactly as many messages as a scalar
-    /// exchange (the width rides inside the envelopes) and every column
-    /// of the strided external buffer is bitwise identical to a scalar
-    /// exchange of that column, including the self-copy path.
+    /// A `k`-lane exchange posts exactly as many messages as a `k = 1`
+    /// exchange (the width rides inside the envelopes), and every lane of
+    /// the strided external buffer is bitwise identical to a `k = 1`
+    /// exchange of that lane, including the self-copy path.
     #[test]
-    fn multi_exchange_matches_scalar_columns_same_message_count() {
+    fn lane_exchange_matches_scalar_columns_same_message_count() {
         let a = laplace2d(8, 8);
         let starts = default_partition(64, 4);
-        let k = 3usize;
-        let (per_rank, _) = run_ranks(4, |c| {
+        run_ranks(4, |c| {
             let r = c.rank();
             let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
             let nl = starts[r + 1] - starts[r];
             let plan = VectorExchange::plan(c, &p.colmap, &starts);
-            let cols: Vec<Vec<f64>> = (0..k)
+            let cols: Vec<Vec<f64>> = (0..9)
                 .map(|j| {
                     (0..nl)
                         .map(|i| 1.0 / (starts[r] + i + j + 1) as f64)
                         .collect()
                 })
                 .collect();
-            let x = MultiVec::from_columns(&cols);
-            let before = c.messages_sent();
-            let ext = plan.exchange_multi(c, &x);
-            let multi_msgs = c.messages_sent() - before;
             let before = c.messages_sent();
             let exts: Vec<Vec<f64>> = cols.iter().map(|col| plan.exchange(c, col)).collect();
-            let scalar_msgs = (c.messages_sent() - before) / k as u64;
-            (ext, exts, multi_msgs, scalar_msgs)
-        });
-        for (rank, (ext, exts, multi_msgs, scalar_msgs)) in per_rank.iter().enumerate() {
-            assert_eq!(multi_msgs, scalar_msgs, "rank {rank} message count");
-            for (j, se) in exts.iter().enumerate() {
-                for (e, &v) in se.iter().enumerate() {
-                    assert_eq!(
-                        ext[e * k + j].to_bits(),
-                        v.to_bits(),
-                        "rank {rank} col {j} entry {e}"
-                    );
+            let scalar_msgs = (c.messages_sent() - before) / 9;
+            for k in [1usize, 3, 4, 8, 9] {
+                let x = MultiVec::from_columns(&cols[..k]);
+                let before = c.messages_sent();
+                let ext = plan.post_lanes(c, x.data(), k).finish(c);
+                assert_eq!(c.messages_sent() - before, scalar_msgs, "rank {r} k {k}");
+                for (j, se) in exts[..k].iter().enumerate() {
+                    for (e, &v) in se.iter().enumerate() {
+                        assert_eq!(
+                            ext[e * k + j].to_bits(),
+                            v.to_bits(),
+                            "rank {r} k {k} col {j} entry {e}"
+                        );
+                    }
                 }
             }
-        }
-    }
-
-    /// Overlapped batched post/finish is bitwise identical to the
-    /// synchronous batched exchange.
-    #[test]
-    fn post_multi_finish_matches_exchange_multi_bitwise() {
-        let a = laplace2d(8, 8);
-        let starts = default_partition(64, 4);
-        let (results, _) = run_ranks(4, |c| {
-            let r = c.rank();
-            let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let nl = starts[r + 1] - starts[r];
-            let cols: Vec<Vec<f64>> = (0..4)
-                .map(|j| {
-                    (0..nl)
-                        .map(|i| (starts[r] + i) as f64 + 0.25 * f64::from(j))
-                        .collect()
-                })
-                .collect();
-            let x = MultiVec::from_columns(&cols);
-            let plan = VectorExchange::plan(c, &p.colmap, &starts);
-            let sync = plan.exchange_multi(c, &x);
-            let inflight = plan.post_multi(c, &x);
-            let _busy: f64 = x.data().iter().sum();
-            let over = inflight.finish(c);
-            (sync, over)
         });
-        for (sync, over) in results {
-            let sb: Vec<u64> = sync.iter().map(|v| v.to_bits()).collect();
-            let ob: Vec<u64> = over.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, ob);
-        }
     }
 
     #[test]

@@ -24,13 +24,15 @@
 //!   in-flight halo with interior computation, and matrix-row gathering
 //!   (Fig. 3c) with optional §4.3 filtering,
 //! * [`spmv`] — distributed SpMV and fused residual norms, synchronous
-//!   or communication-overlapped (bitwise-identical results),
+//!   or communication-overlapped (bitwise-identical results), written
+//!   once over `k` row-major lanes (a plain vector is `k = 1`),
 //! * [`spgemm`] — distributed SpGEMM and transpose,
 //! * [`coarsen`] — distributed PMIS (+ aggressive second pass),
 //! * [`interp`] — distributed direct / extended+i / multipass /
 //!   2-stage extended+i interpolation,
 //! * [`hierarchy`] — the distributed setup phase,
-//! * [`solve`] — distributed V-cycle, standalone AMG and FGMRES+AMG.
+//! * [`solve`] — distributed V-cycle and standalone AMG at any lane
+//!   width (one or many right-hand sides), FGMRES+AMG and PCG+AMG.
 
 // Kernels index several parallel arrays in lockstep; indexed loops are
 // the clearest expression of that and match the reference implementations.
@@ -47,6 +49,6 @@ pub mod spgemm;
 pub mod spmv;
 
 pub use comm::{run_ranks, Comm, RecvHandle};
-pub use halo::{InFlightHalo, InFlightHaloMulti, VectorExchange};
+pub use halo::{InFlightHalo, VectorExchange};
 pub use hierarchy::{DistFrozenSetup, DistHierarchy, DistOptFlags};
 pub use parcsr::ParCsr;

@@ -1,37 +1,107 @@
-//! Distributed SpMV and residual norms (Fig. 3b).
+//! Distributed SpMV, residuals, norms and dot products (Fig. 3b).
 //!
 //! `y = A x` splits into the local product with the block-diagonal part
 //! and the product of the off-diagonal part with the gathered external
 //! vector. The fused residual + norm kernel mirrors the single-node §3.3
 //! optimization, with the norm finished by one all-reduce.
 //!
-//! Every kernel runs in one of two modes selected by its `overlap` flag:
-//! *synchronous* (halo exchanged up front, then all rows) or *overlapped*
-//! (halo posted, interior rows computed while it is in flight, boundary
-//! rows after `finish`). Both modes perform the identical floating-point
-//! operations per row — interior rows never touch `offd`, boundary rows
-//! always accumulate diag before offd — so their results are bitwise
-//! equal; overlap only changes *when* the wait happens.
+//! Each kernel is written once, over `k` row-major interleaved lanes
+//! (`data[i * k + j]`, the [`famg_sparse::MultiVec`] layout), and
+//! monomorphized on the lane count by [`famg_sparse::lanes!`]. A plain
+//! `&[f64]` vector is the `k = 1` instance: the scalar entry points below
+//! are one-line calls of it, and at `K = 1` every lane access compiles to
+//! a plain scalar index. Every width performs the same operations per
+//! lane (ascending stored entries from the same initial accumulator), so
+//! lane `j` of a `k`-wide call is bitwise equal to a `k = 1` call on
+//! column `j`, while one halo exchange and one all-reduce serve all `k`
+//! lanes.
+//!
+//! Every kernel runs in one of two halo modes selected by its `overlap`
+//! flag: *synchronous* (halo exchanged up front) or *overlapped* (halo
+//! posted, the block-diagonal part of every row computed while it is in
+//! flight, the off-diagonal part of the boundary rows after `finish`).
+//! Both modes run the same two passes with identical per-row arithmetic
+//! (a row's partial result is stored between them exactly), so their
+//! results are bitwise equal; overlap only changes *when* the wait
+//! happens.
 
 use crate::comm::Comm;
 use crate::halo::VectorExchange;
 use crate::parcsr::ParCsr;
 use famg_core::solver::SolveError;
-use famg_sparse::{Csr, MultiVec};
+use famg_sparse::{lanes, Csr};
 
-/// One row of the block-diagonal product, with the same accumulation
-/// order as `famg_sparse::spmv::spmv_seq` (ascending stored columns).
-#[inline]
-fn diag_row_dot(diag: &Csr, i: usize, x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (c, v) in diag.row_iter(i) {
-        acc += v * x[c];
+/// Most lanes one kernel pass holds in stack accumulators. The dynamic
+/// instance (`K == 0`) covers a wider block in several passes of at most
+/// this many lanes; lanes never interact, so the split cannot change any
+/// lane's arithmetic.
+pub(crate) const MAX_LANES: usize = 8;
+
+/// The lanes `j0..j0 + w` of a row-major block of width `k` that one
+/// kernel pass works on. A const `K != 0` fixes `k = w = K` and `j0 = 0`
+/// at compile time.
+#[derive(Clone, Copy)]
+pub(crate) struct Lanes<const K: usize> {
+    k: usize,
+    j0: usize,
+    w: usize,
+}
+
+impl<const K: usize> Lanes<K> {
+    /// The passes covering all `k` lanes: one at a const width, one per
+    /// [`MAX_LANES`] lanes for the dynamic instance.
+    pub(crate) fn cover(k: usize) -> impl Iterator<Item = Self> {
+        debug_assert!(K == 0 || K == k);
+        (0..k).step_by(MAX_LANES).map(move |j0| Lanes {
+            k,
+            j0,
+            w: (k - j0).min(MAX_LANES),
+        })
     }
-    acc
+
+    /// Lanes in this pass.
+    #[inline(always)]
+    pub(crate) fn w(self) -> usize {
+        if K == 0 {
+            self.w
+        } else {
+            K
+        }
+    }
+
+    /// Row stride of the block.
+    #[inline(always)]
+    fn stride(self) -> usize {
+        if K == 0 {
+            self.k
+        } else {
+            K
+        }
+    }
+
+    /// This pass's lanes as block columns.
+    fn cols(self) -> std::ops::Range<usize> {
+        let j0 = if K == 0 { self.j0 } else { 0 };
+        j0..j0 + self.w()
+    }
+
+    /// This pass's lanes of row `i` of `d`.
+    #[inline(always)]
+    pub(crate) fn row(self, d: &[f64], i: usize) -> &[f64] {
+        let o = i * self.stride() + self.cols().start;
+        &d[o..o + self.w()]
+    }
+
+    /// This pass's lanes of row `i` of `d`, mutably.
+    #[inline(always)]
+    pub(crate) fn row_mut(self, d: &mut [f64], i: usize) -> &mut [f64] {
+        let o = i * self.stride() + self.cols().start;
+        &mut d[o..o + self.w()]
+    }
 }
 
 /// Returns a typed dimension-mismatch error unless `expected == got`.
-fn dim(expected: usize, got: usize, what: &'static str) -> Result<(), SolveError> {
+pub(crate) fn dim(expected: usize, got: usize, what: &'static str) -> Result<(), SolveError> {
     if expected == got {
         Ok(())
     } else {
@@ -44,9 +114,199 @@ fn dim(expected: usize, got: usize, what: &'static str) -> Result<(), SolveError
 }
 
 /// Validates the operator/plan/vector shapes shared by the kernels.
-fn check_kernel_dims(a: &ParCsr, plan: &VectorExchange, x_len: usize) -> Result<(), SolveError> {
-    dim(a.diag.ncols(), x_len, "local x (owned columns)")?;
+fn check_kernel_dims(
+    a: &ParCsr,
+    plan: &VectorExchange,
+    x_len: usize,
+    k: usize,
+) -> Result<(), SolveError> {
+    dim(a.diag.ncols() * k, x_len, "local x (owned columns)")?;
     dim(a.offd.ncols(), plan.ext_len(), "halo plan external length")
+}
+
+/// `y = A_diag x` on every owned row, each lane from a zero accumulator.
+fn diag_rows<const K: usize>(diag: &Csr, x: &[f64], k: usize, y: &mut [f64]) {
+    for ln in Lanes::<K>::cover(k) {
+        let w = ln.w();
+        for i in 0..diag.nrows() {
+            let mut acc = [0.0f64; MAX_LANES];
+            for (c, v) in diag.row_iter(i) {
+                let xr = ln.row(x, c);
+                for j in 0..w {
+                    acc[j] += v * xr[j];
+                }
+            }
+            ln.row_mut(y, i).copy_from_slice(&acc[..w]);
+        }
+    }
+}
+
+/// `y += A_offd ext` on `rows`: each row's off-diagonal sum accumulates
+/// on its own and is then added to the diag product, the block order of
+/// `famg_sparse::spmv::spmv_seq`.
+fn offd_add_rows<const K: usize>(offd: &Csr, rows: &[usize], ext: &[f64], k: usize, y: &mut [f64]) {
+    for ln in Lanes::<K>::cover(k) {
+        let w = ln.w();
+        for &i in rows {
+            let mut acc = [0.0f64; MAX_LANES];
+            for (e, v) in offd.row_iter(i) {
+                let er = ln.row(ext, e);
+                for j in 0..w {
+                    acc[j] += v * er[j];
+                }
+            }
+            for (yj, aj) in ln.row_mut(y, i).iter_mut().zip(&acc) {
+                *yj += aj;
+            }
+        }
+    }
+}
+
+/// `r = b - A_diag x` on every owned row.
+fn diag_residual_rows<const K: usize>(diag: &Csr, x: &[f64], b: &[f64], k: usize, r: &mut [f64]) {
+    for ln in Lanes::<K>::cover(k) {
+        let w = ln.w();
+        for i in 0..diag.nrows() {
+            let mut acc = [0.0f64; MAX_LANES];
+            acc[..w].copy_from_slice(ln.row(b, i));
+            for (c, v) in diag.row_iter(i) {
+                let xr = ln.row(x, c);
+                for j in 0..w {
+                    acc[j] -= v * xr[j];
+                }
+            }
+            ln.row_mut(r, i).copy_from_slice(&acc[..w]);
+        }
+    }
+}
+
+/// `r -= A_offd ext` on `rows`, entry by entry: continues each row's
+/// residual accumulation where [`diag_residual_rows`] stored it.
+fn offd_sub_rows<const K: usize>(offd: &Csr, rows: &[usize], ext: &[f64], k: usize, r: &mut [f64]) {
+    for ln in Lanes::<K>::cover(k) {
+        let w = ln.w();
+        for &i in rows {
+            let mut acc = [0.0f64; MAX_LANES];
+            acc[..w].copy_from_slice(ln.row(r, i));
+            for (e, v) in offd.row_iter(i) {
+                let er = ln.row(ext, e);
+                for j in 0..w {
+                    acc[j] -= v * er[j];
+                }
+            }
+            ln.row_mut(r, i).copy_from_slice(&acc[..w]);
+        }
+    }
+}
+
+/// Per-lane `out[j] = Σᵢ x[i,j]·y[i,j]` in ascending row order, folded
+/// from `-0.0` like `Iterator::sum` (and so `vecops::dot_seq`).
+fn lane_dots<const K: usize>(x: &[f64], y: &[f64], k: usize, out: &mut [f64]) {
+    for ln in Lanes::<K>::cover(k) {
+        let (w, j0) = (ln.w(), ln.cols().start);
+        let mut acc = [-0.0f64; MAX_LANES];
+        for (xr, yr) in x.chunks_exact(ln.stride()).zip(y.chunks_exact(ln.stride())) {
+            for j in 0..w {
+                acc[j] += xr[j0 + j] * yr[j0 + j];
+            }
+        }
+        out[ln.cols()].copy_from_slice(&acc[..w]);
+    }
+}
+
+/// Rank-local per-lane dot products of two `k`-lane blocks.
+fn local_dots(x: &[f64], y: &[f64], k: usize, out: &mut [f64]) {
+    // PANIC-FREE: shape asserts guard the caller contract at the kernel
+    // boundary; the try_* drivers validate block shapes before calling.
+    assert_eq!(x.len(), y.len());
+    assert_eq!(out.len(), k); // PANIC-FREE: same caller contract
+    lanes!(k, lane_dots(x, y, k, out));
+}
+
+/// Finishes per-lane rank-local sums with one vector all-reduce, so the
+/// collective count is independent of the width.
+fn allreduce_lanes(comm: &Comm, sums: &mut [f64], tag: u64) {
+    // ALLOC: k-sized partial sums — the all-reduce owns them as the
+    // message payload.
+    let global = comm.allreduce_sum_vec(sums.to_vec(), tag);
+    sums.copy_from_slice(&global);
+}
+
+/// `Y = A X` over `k` lanes using a pre-planned halo exchange: one
+/// envelope per neighbor at any width, one matrix traversal per row.
+pub(crate) fn spmv_lanes(
+    comm: &Comm,
+    a: &ParCsr,
+    plan: &VectorExchange,
+    x: &[f64],
+    k: usize,
+    y: &mut [f64],
+    overlap: bool,
+) -> Result<(), SolveError> {
+    check_kernel_dims(a, plan, x.len(), k)?;
+    dim(a.local_rows() * k, y.len(), "local y (owned rows)")?;
+    let halo = plan.start(comm, x, k, overlap);
+    lanes!(k, diag_rows(&a.diag, x, k, y));
+    let ext = halo.finish(comm);
+    lanes!(k, offd_add_rows(&a.offd, &a.boundary_rows, &ext, k, y));
+    Ok(())
+}
+
+/// `R = B - A X` over `k` lanes with one halo exchange and no norm, so no
+/// global reduction: on V-cycle levels the halo is the entire
+/// communication.
+pub(crate) fn residual_lanes(
+    comm: &Comm,
+    a: &ParCsr,
+    plan: &VectorExchange,
+    x: &[f64],
+    b: &[f64],
+    k: usize,
+    r: &mut [f64],
+    overlap: bool,
+) -> Result<(), SolveError> {
+    check_kernel_dims(a, plan, x.len(), k)?;
+    dim(a.local_rows() * k, b.len(), "local right-hand side")?;
+    dim(a.local_rows() * k, r.len(), "local residual")?;
+    let halo = plan.start(comm, x, k, overlap);
+    lanes!(k, diag_residual_rows(&a.diag, x, b, k, r));
+    let ext = halo.finish(comm);
+    lanes!(k, offd_sub_rows(&a.offd, &a.boundary_rows, &ext, k, r));
+    Ok(())
+}
+
+/// Fused residual + norm over `k` lanes: writes the *global* squared
+/// residual norm of each lane to `norm_sq`, finished by one all-reduce
+/// at any width.
+pub(crate) fn residual_norm_sq_lanes(
+    comm: &Comm,
+    a: &ParCsr,
+    plan: &VectorExchange,
+    x: &[f64],
+    b: &[f64],
+    k: usize,
+    r: &mut [f64],
+    overlap: bool,
+    norm_sq: &mut [f64],
+) -> Result<(), SolveError> {
+    residual_lanes(comm, a, plan, x, b, k, r, overlap)?;
+    local_dots(r, r, k, norm_sq);
+    allreduce_lanes(comm, norm_sq, 0x40);
+    Ok(())
+}
+
+/// Global per-lane dot products of two `k`-lane blocks (one all-reduce).
+pub(crate) fn dist_dot_lanes(comm: &Comm, x: &[f64], y: &[f64], k: usize, out: &mut [f64]) {
+    local_dots(x, y, k, out);
+    allreduce_lanes(comm, out, 0x41);
+}
+
+/// Global per-lane 2-norms of a `k`-lane block (one all-reduce).
+pub(crate) fn dist_norm2_lanes(comm: &Comm, x: &[f64], k: usize, out: &mut [f64]) {
+    dist_dot_lanes(comm, x, x, k, out);
+    for o in out {
+        *o = o.sqrt();
+    }
 }
 
 /// `y = A x` using a pre-planned halo exchange (synchronous halo).
@@ -60,8 +320,8 @@ pub fn dist_spmv(comm: &Comm, a: &ParCsr, plan: &VectorExchange, x_local: &[f64]
 }
 
 /// [`dist_spmv`] with typed shape errors and a selectable halo mode:
-/// with `overlap` the interior rows are computed while the halo is in
-/// flight (bitwise-identical result, see module docs).
+/// with `overlap` the block-diagonal product is computed while the halo
+/// is in flight (bitwise-identical result, see module docs).
 pub fn try_dist_spmv(
     comm: &Comm,
     a: &ParCsr,
@@ -70,255 +330,13 @@ pub fn try_dist_spmv(
     y: &mut [f64],
     overlap: bool,
 ) -> Result<(), SolveError> {
-    check_kernel_dims(a, plan, x_local.len())?;
-    dim(a.local_rows(), y.len(), "local y (owned rows)")?;
-    if overlap {
-        let inflight = plan.post(comm, x_local);
-        for &i in &a.interior_rows {
-            y[i] = diag_row_dot(&a.diag, i, x_local);
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            y[i] = diag_row_dot(&a.diag, i, x_local);
-            let mut acc = 0.0;
-            for (k, v) in a.offd.row_iter(i) {
-                acc += v * x_ext[k];
-            }
-            y[i] += acc;
-        }
-    } else {
-        let x_ext = plan.exchange(comm, x_local);
-        // Local block-diagonal product...
-        for i in 0..a.local_rows() {
-            y[i] = diag_row_dot(&a.diag, i, x_local);
-        }
-        // ...plus the off-diagonal contribution (boundary rows only —
-        // interior rows have no offd entries, and skipping their empty
-        // accumulator keeps the arithmetic identical to the overlap path).
-        for &i in &a.boundary_rows {
-            let mut acc = 0.0;
-            for (k, v) in a.offd.row_iter(i) {
-                acc += v * x_ext[k];
-            }
-            y[i] += acc;
-        }
-    }
-    Ok(())
+    spmv_lanes(comm, a, plan, x_local, 1, y, overlap)
 }
 
-/// Lane-wise twin of [`diag_row_dot`]: column `j` of `out` follows the
-/// exact scalar accumulation order (ascending stored columns from a
-/// zero accumulator), so each lane is bitwise identical to the scalar
-/// kernel on the extracted column.
-#[inline]
-fn diag_row_dot_multi(diag: &Csr, i: usize, xd: &[f64], k: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    for (c, v) in diag.row_iter(i) {
-        for (o, xj) in out.iter_mut().zip(&xd[c * k..(c + 1) * k]) {
-            *o += v * xj;
-        }
-    }
-}
-
-/// Validates the operator/plan/block shapes shared by the batched
-/// kernels.
-fn check_kernel_dims_multi(
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-) -> Result<(), SolveError> {
-    dim(a.diag.ncols(), x.n(), "local x block (owned columns)")?;
-    dim(a.offd.ncols(), plan.ext_len(), "halo plan external length")
-}
-
-/// Batched `Y = A X`: one halo exchange for all `k` columns (one
-/// envelope per neighbor regardless of width — see
-/// [`VectorExchange::post_multi`]) and one matrix traversal per row
-/// group. With `overlap` the interior rows are computed while the halo
-/// is in flight, exactly like [`try_dist_spmv`]; column `j` is bitwise
-/// identical to the scalar kernel in either mode.
-pub fn try_dist_spmv_multi(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-    y: &mut MultiVec,
-    overlap: bool,
-) -> Result<(), SolveError> {
-    check_kernel_dims_multi(a, plan, x)?;
-    dim(a.local_rows(), y.n(), "local y block (owned rows)")?;
-    dim(x.k(), y.k(), "local y block width")?;
-    let k = x.k();
-    let xd = x.data();
-    let boundary = |yd: &mut [f64], x_ext: &[f64], acc: &mut [f64]| {
-        for &i in &a.boundary_rows {
-            acc.fill(0.0);
-            for (e, v) in a.offd.row_iter(i) {
-                for (aj, xj) in acc.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *aj += v * xj;
-                }
-            }
-            for (yj, aj) in yd[i * k..(i + 1) * k].iter_mut().zip(acc.iter()) {
-                *yj += aj;
-            }
-        }
-    };
-    // ALLOC: k-sized lane accumulator — O(k) per kernel call, not per
-    // row; threading it from every caller is not worth the coupling.
-    let mut acc = vec![0.0f64; k];
-    if overlap {
-        let inflight = plan.post_multi(comm, x);
-        let yd = y.data_mut();
-        for &i in &a.interior_rows {
-            let (lo, hi) = (i * k, (i + 1) * k);
-            diag_row_dot_multi(&a.diag, i, xd, k, &mut yd[lo..hi]);
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            let (lo, hi) = (i * k, (i + 1) * k);
-            diag_row_dot_multi(&a.diag, i, xd, k, &mut yd[lo..hi]);
-        }
-        boundary(yd, &x_ext, &mut acc);
-    } else {
-        let x_ext = plan.exchange_multi(comm, x);
-        let yd = y.data_mut();
-        for i in 0..a.local_rows() {
-            let (lo, hi) = (i * k, (i + 1) * k);
-            diag_row_dot_multi(&a.diag, i, xd, k, &mut yd[lo..hi]);
-        }
-        boundary(yd, &x_ext, &mut acc);
-    }
-    Ok(())
-}
-
-/// Batched distributed residual: `R = B - A X` with one halo exchange
-/// for all columns; returns the *local* squared norm per column,
-/// accumulated in ascending row order so synchronous and overlapped
-/// runs (and the scalar kernel, per column) are bitwise equal.
-pub fn try_dist_residual_multi(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-    b: &MultiVec,
-    r: &mut MultiVec,
-    overlap: bool,
-) -> Result<Vec<f64>, SolveError> {
-    check_kernel_dims_multi(a, plan, x)?;
-    dim(a.local_rows(), b.n(), "local right-hand side block")?;
-    dim(a.local_rows(), r.n(), "local residual block")?;
-    dim(x.k(), b.k(), "local right-hand side block width")?;
-    dim(x.k(), r.k(), "local residual block width")?;
-    let k = x.k();
-    let xd = x.data();
-    let bd = b.data();
-    let diag_part = |i: usize, rd: &mut [f64]| {
-        let rr = &mut rd[i * k..(i + 1) * k];
-        rr.copy_from_slice(&bd[i * k..(i + 1) * k]);
-        for (c, v) in a.diag.row_iter(i) {
-            for (rj, xj) in rr.iter_mut().zip(&xd[c * k..(c + 1) * k]) {
-                *rj -= v * xj;
-            }
-        }
-    };
-    if overlap {
-        let inflight = plan.post_multi(comm, x);
-        let rd = r.data_mut();
-        for &i in &a.interior_rows {
-            diag_part(i, rd);
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            diag_part(i, rd);
-            let rr = &mut rd[i * k..(i + 1) * k];
-            for (e, v) in a.offd.row_iter(i) {
-                for (rj, xj) in rr.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *rj -= v * xj;
-                }
-            }
-        }
-    } else {
-        let x_ext = plan.exchange_multi(comm, x);
-        let rd = r.data_mut();
-        for i in 0..a.local_rows() {
-            diag_part(i, rd);
-            let rr = &mut rd[i * k..(i + 1) * k];
-            for (e, v) in a.offd.row_iter(i) {
-                for (rj, xj) in rr.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *rj -= v * xj;
-                }
-            }
-        }
-    }
-    // Norm pass in ascending row order, per lane — the same fold the
-    // scalar kernel performs on each extracted column.
-    // ALLOC: k-sized result vector, returned to (and reduced by) the
-    // caller — it is the kernel's output, not scratch.
-    let mut acc_sq = vec![0.0f64; k];
-    for row in r.data().chunks_exact(k.max(1)) {
-        for (aj, rj) in acc_sq.iter_mut().zip(row) {
-            *aj += rj * rj;
-        }
-    }
-    Ok(acc_sq)
-}
-
-/// Batched fused residual + norm: per-column *global* squared norms
-/// finished by a single vector all-reduce
-/// ([`Comm::allreduce_sum_vec`]), so the collective count is
-/// independent of the batch width. Column `j` is bitwise identical to
-/// [`try_dist_residual_norm_sq`] on that column alone.
-pub fn try_dist_residual_norm_sq_multi(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-    b: &MultiVec,
-    r: &mut MultiVec,
-    overlap: bool,
-) -> Result<Vec<f64>, SolveError> {
-    let acc_sq = try_dist_residual_multi(comm, a, plan, x, b, r, overlap)?;
-    Ok(comm.allreduce_sum_vec(acc_sq, 0x40))
-}
-
-/// Batched distributed dot products (one vector all-reduce): `out[j] =
-/// x[:,j] · y[:,j]` globally, each column bitwise identical to
-/// [`dist_dot`].
-pub fn dist_dot_multi(comm: &Comm, x: &MultiVec, y: &MultiVec) -> Vec<f64> {
-    // PANIC-FREE: shape asserts guard the caller contract at the kernel
-    // boundary; the try_* drivers validate block shapes before calling.
-    assert_eq!(x.n(), y.n());
-    assert_eq!(x.k(), y.k()); // PANIC-FREE: same caller contract
-    let k = x.k();
-    // ALLOC: k-sized result vector — the all-reduce then owns it as the
-    // message payload.
-    let mut acc = vec![0.0f64; k];
-    for (xr, yr) in x
-        .data()
-        .chunks_exact(k.max(1))
-        .zip(y.data().chunks_exact(k.max(1)))
-    {
-        for j in 0..k {
-            acc[j] += xr[j] * yr[j];
-        }
-    }
-    comm.allreduce_sum_vec(acc, 0x41)
-}
-
-/// Batched distributed 2-norms (one vector all-reduce).
-pub fn dist_norm2_multi(comm: &Comm, x: &MultiVec) -> Vec<f64> {
-    let mut out = dist_dot_multi(comm, x, x);
-    for o in &mut out {
-        *o = o.sqrt();
-    }
-    out
-}
-
-/// Distributed residual only: `r = b - A x` with no norm and therefore
-/// no global reduction — one halo exchange is the entire communication.
-/// Use this on V-cycle levels where the norm is unused; it returns the
-/// *local* squared norm so callers that do want the global value can
-/// finish it with one all-reduce (see [`dist_residual_norm_sq`]).
+/// Distributed residual only: `r = b - A x` with no global reduction —
+/// one halo exchange is the entire communication. Returns the *local*
+/// squared norm so callers that do want the global value can finish it
+/// with one all-reduce (see [`dist_residual_norm_sq`]).
 ///
 /// # Panics
 /// Panics on mis-sized vectors or a mismatched plan; use
@@ -336,8 +354,8 @@ pub fn dist_residual(
 }
 
 /// [`dist_residual`] with typed shape errors and a selectable halo mode.
-/// The local squared norm is always accumulated over `r` in ascending row
-/// order, so synchronous and overlapped runs return bitwise-equal values.
+/// The local squared norm is accumulated over `r` in ascending row order,
+/// so synchronous and overlapped runs return bitwise-equal values.
 pub fn try_dist_residual(
     comm: &Comm,
     a: &ParCsr,
@@ -347,49 +365,10 @@ pub fn try_dist_residual(
     r: &mut [f64],
     overlap: bool,
 ) -> Result<f64, SolveError> {
-    check_kernel_dims(a, plan, x_local.len())?;
-    dim(a.local_rows(), b_local.len(), "local right-hand side")?;
-    dim(a.local_rows(), r.len(), "local residual")?;
-    if overlap {
-        let inflight = plan.post(comm, x_local);
-        for &i in &a.interior_rows {
-            let mut acc = b_local[i];
-            for (c, v) in a.diag.row_iter(i) {
-                acc -= v * x_local[c];
-            }
-            r[i] = acc;
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            let mut acc = b_local[i];
-            for (c, v) in a.diag.row_iter(i) {
-                acc -= v * x_local[c];
-            }
-            for (k, v) in a.offd.row_iter(i) {
-                acc -= v * x_ext[k];
-            }
-            r[i] = acc;
-        }
-    } else {
-        let x_ext = plan.exchange(comm, x_local);
-        for i in 0..a.local_rows() {
-            let mut acc = b_local[i];
-            for (c, v) in a.diag.row_iter(i) {
-                acc -= v * x_local[c];
-            }
-            for (k, v) in a.offd.row_iter(i) {
-                acc -= v * x_ext[k];
-            }
-            r[i] = acc;
-        }
-    }
-    // Norm pass in ascending row order regardless of the order the rows
-    // were produced in — keeps the sum bitwise mode-independent.
-    let mut acc_sq = 0.0;
-    for &ri in r.iter() {
-        acc_sq += ri * ri;
-    }
-    Ok(acc_sq)
+    residual_lanes(comm, a, plan, x_local, b_local, 1, r, overlap)?;
+    let mut norm_sq = [0.0];
+    local_dots(r, r, 1, &mut norm_sq);
+    Ok(norm_sq[0])
 }
 
 /// Fused distributed residual: `r = b - A x` with `‖r‖²` reduced across
@@ -421,18 +400,23 @@ pub fn try_dist_residual_norm_sq(
     r: &mut [f64],
     overlap: bool,
 ) -> Result<f64, SolveError> {
-    let acc_sq = try_dist_residual(comm, a, plan, x_local, b_local, r, overlap)?;
-    Ok(comm.allreduce_sum(acc_sq, 0x40))
+    let mut norm_sq = [0.0];
+    residual_norm_sq_lanes(comm, a, plan, x_local, b_local, 1, r, overlap, &mut norm_sq)?;
+    Ok(norm_sq[0])
 }
 
 /// Distributed dot product (one all-reduce).
 pub fn dist_dot(comm: &Comm, x: &[f64], y: &[f64]) -> f64 {
-    comm.allreduce_sum(famg_sparse::vecops::dot_seq(x, y), 0x41)
+    let mut d = [0.0];
+    dist_dot_lanes(comm, x, y, 1, &mut d);
+    d[0]
 }
 
 /// Distributed 2-norm.
 pub fn dist_norm2(comm: &Comm, x: &[f64]) -> f64 {
-    dist_dot(comm, x, x).sqrt()
+    let mut n = [0.0];
+    dist_norm2_lanes(comm, x, 1, &mut n);
+    n[0]
 }
 
 #[cfg(test)]
@@ -441,6 +425,7 @@ mod tests {
     use crate::comm::run_ranks;
     use crate::parcsr::default_partition;
     use famg_matgen::{laplace2d, rhs};
+    use famg_sparse::MultiVec;
 
     #[test]
     fn dist_spmv_matches_serial() {
@@ -495,98 +480,87 @@ mod tests {
         }
     }
 
-    /// Batched distributed SpMV/residual: each column bitwise identical
-    /// to the scalar kernel, in both halo modes, with the message count
-    /// of a single scalar exchange.
+    /// The k-lane SpMV, residual norm and dot at widths covering every
+    /// const arm and the dynamic fallback (k = 3, 9): each lane bitwise
+    /// identical to the `k = 1` instance on that column, in both halo
+    /// modes, with the message count of a single `k = 1` exchange.
     #[test]
     fn dist_multi_kernels_bitwise_match_scalar_columns() {
         let a = laplace2d(10, 8);
         let n = a.nrows();
-        let k = 3usize;
-        let cols_x: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 20 + j as u64)).collect();
-        let cols_b: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 30 + j as u64)).collect();
+        let cols_x: Vec<Vec<f64>> = (0..9).map(|j| rhs::random(n, 20 + j as u64)).collect();
+        let cols_b: Vec<Vec<f64>> = (0..9).map(|j| rhs::random(n, 30 + j as u64)).collect();
         for nranks in [1usize, 2, 4] {
             let starts = default_partition(n, nranks);
             for overlap in [false, true] {
-                let (per_rank, _) = run_ranks(nranks, |c| {
+                run_ranks(nranks, |c| {
                     let rk = c.rank();
                     let (s, e) = (starts[rk], starts[rk + 1]);
                     let p = ParCsr::from_global_rows(&a, s, e, starts.clone(), rk);
                     let plan = VectorExchange::plan(c, &p.colmap, &starts);
-                    let xl_cols: Vec<Vec<f64>> =
-                        cols_x.iter().map(|cx| cx[s..e].to_vec()).collect();
-                    let bl_cols: Vec<Vec<f64>> =
-                        cols_b.iter().map(|cb| cb[s..e].to_vec()).collect();
-                    let xm = MultiVec::from_columns(&xl_cols);
-                    let bm = MultiVec::from_columns(&bl_cols);
                     let nl = p.local_rows();
-
-                    let before = c.messages_sent();
-                    let mut ym = MultiVec::new(nl, k);
-                    try_dist_spmv_multi(c, &p, &plan, &xm, &mut ym, overlap).unwrap();
-                    let multi_msgs = c.messages_sent() - before;
-                    let mut rm = MultiVec::new(nl, k);
-                    let norms =
-                        try_dist_residual_norm_sq_multi(c, &p, &plan, &xm, &bm, &mut rm, overlap)
-                            .unwrap();
-                    let dots = dist_dot_multi(c, &xm, &bm);
-
-                    let mut scalar_msgs = 0u64;
+                    let xl: Vec<Vec<f64>> = cols_x.iter().map(|cx| cx[s..e].to_vec()).collect();
+                    let bl: Vec<Vec<f64>> = cols_b.iter().map(|cb| cb[s..e].to_vec()).collect();
+                    // The k = 1 instance, column by column.
                     let mut ys = Vec::new();
                     let mut rs = Vec::new();
                     let mut norms_s = Vec::new();
                     let mut dots_s = Vec::new();
-                    for j in 0..k {
+                    let mut scalar_msgs = 0u64;
+                    for j in 0..9 {
                         let before = c.messages_sent();
                         let mut y = vec![0.0; nl];
-                        try_dist_spmv(c, &p, &plan, &xl_cols[j], &mut y, overlap).unwrap();
-                        scalar_msgs += c.messages_sent() - before;
+                        try_dist_spmv(c, &p, &plan, &xl[j], &mut y, overlap).unwrap();
+                        scalar_msgs = c.messages_sent() - before;
                         let mut r = vec![0.0; nl];
                         norms_s.push(
                             try_dist_residual_norm_sq(
-                                c,
-                                &p,
-                                &plan,
-                                &xl_cols[j],
-                                &bl_cols[j],
-                                &mut r,
-                                overlap,
+                                c, &p, &plan, &xl[j], &bl[j], &mut r, overlap,
                             )
                             .unwrap(),
                         );
-                        dots_s.push(dist_dot(c, &xl_cols[j], &bl_cols[j]));
+                        dots_s.push(dist_dot(c, &xl[j], &bl[j]));
                         ys.push(y);
                         rs.push(r);
                     }
-                    scalar_msgs /= k as u64;
-                    (
-                        ym,
-                        rm,
-                        norms,
-                        dots,
-                        ys,
-                        rs,
-                        norms_s,
-                        dots_s,
-                        multi_msgs,
-                        scalar_msgs,
-                    )
-                });
-                for (rk, (ym, rm, norms, dots, ys, rs, norms_s, dots_s, mm, sm)) in
-                    per_rank.iter().enumerate()
-                {
-                    assert_eq!(mm, sm, "nranks {nranks} rank {rk} message count");
-                    for j in 0..k {
-                        assert_eq!(ym.col(j), ys[j], "spmv nranks {nranks} rank {rk} col {j}");
-                        assert_eq!(rm.col(j), rs[j], "resid nranks {nranks} rank {rk} col {j}");
+                    for k in [1usize, 3, 4, 8, 9] {
+                        let xm = MultiVec::from_columns(&xl[..k]);
+                        let bm = MultiVec::from_columns(&bl[..k]);
+                        let before = c.messages_sent();
+                        let mut ym = MultiVec::new(nl, k);
+                        spmv_lanes(c, &p, &plan, xm.data(), k, ym.data_mut(), overlap).unwrap();
+                        let msgs = c.messages_sent() - before;
                         assert_eq!(
-                            norms[j].to_bits(),
-                            norms_s[j].to_bits(),
-                            "norm nranks {nranks} rank {rk} col {j} overlap {overlap}"
+                            msgs, scalar_msgs,
+                            "k {k} nranks {nranks} rank {rk} messages"
                         );
-                        assert_eq!(dots[j].to_bits(), dots_s[j].to_bits());
+                        let mut rm = MultiVec::new(nl, k);
+                        let mut norms = vec![0.0; k];
+                        residual_norm_sq_lanes(
+                            c,
+                            &p,
+                            &plan,
+                            xm.data(),
+                            bm.data(),
+                            k,
+                            rm.data_mut(),
+                            overlap,
+                            &mut norms,
+                        )
+                        .unwrap();
+                        let mut dots = vec![0.0; k];
+                        dist_dot_lanes(c, xm.data(), bm.data(), k, &mut dots);
+                        for j in 0..k {
+                            let at = format!(
+                                "k {k} nranks {nranks} rank {rk} col {j} overlap {overlap}"
+                            );
+                            assert_eq!(ym.col(j), ys[j], "spmv {at}");
+                            assert_eq!(rm.col(j), rs[j], "resid {at}");
+                            assert_eq!(norms[j].to_bits(), norms_s[j].to_bits(), "norm {at}");
+                            assert_eq!(dots[j].to_bits(), dots_s[j].to_bits(), "dot {at}");
+                        }
                     }
-                }
+                });
             }
         }
     }

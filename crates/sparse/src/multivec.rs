@@ -134,9 +134,12 @@ impl MultiVec {
     }
 }
 
-/// Dispatches `body` with a monomorphized lane width for k ∈ {1, 2, 4, 8}
-/// and a dynamic fallback otherwise. The per-lane arithmetic order is
-/// identical in every arm; only code generation differs.
+/// Dispatches a k-lane kernel `func::<K>(args)` with a monomorphized lane
+/// width for k ∈ {1, 2, 4, 8} and the dynamic instance `K == 0` for any
+/// other width. The per-lane arithmetic order is identical in every arm;
+/// only code generation differs. Exported for the other kernel crates, so
+/// the whole workspace shares one set of monomorphized widths.
+#[macro_export]
 macro_rules! lanes {
     ($k:expr, $func:ident ( $($arg:expr),* $(,)? )) => {
         match $k {
@@ -148,7 +151,6 @@ macro_rules! lanes {
         }
     };
 }
-pub(crate) use lanes;
 
 /// Accumulates `acc[j] += x[i,j] * y[i,j]` over `rows`, per-column in
 /// ascending row order (the same add sequence `vecops::dot_seq` performs

@@ -16,7 +16,8 @@
 //! and the same linear chunk-order fold.
 
 use crate::csr::Csr;
-use crate::multivec::{lanes, MultiVec};
+use crate::lanes;
+use crate::multivec::MultiVec;
 use rayon::prelude::*;
 
 /// Minimum rows before a kernel goes parallel (same as `spmv`).

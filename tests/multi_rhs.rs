@@ -169,14 +169,16 @@ fn serial_batch_masks_converged_and_stalled_columns() {
 
 /// Distributed batch-vs-solo bitwise identity at 1/2/4 ranks in both
 /// halo modes (`FAMG_OVERLAP_COMM` is exercised by sweeping the flag
-/// directly — both modes run in every configuration).
+/// directly — both modes run in every configuration), at widths that
+/// cover every monomorphized lane count (1, 4, 8) and the dynamic
+/// fallback (3, 9).
 #[test]
 fn dist_batch_columns_match_solo_bitwise_across_ranks() {
     let a = laplace2d(20, 20);
     let n = a.nrows();
-    let k = 4usize;
+    let widths = [1usize, 3, 4, 8, 9];
     let cfg = AmgConfig::single_node_paper();
-    let cols = rhs_columns(n, k);
+    let cols = rhs_columns(n, 9);
     for nranks in [1usize, 2, 4] {
         for overlap in [false, true] {
             let dopt = DistOptFlags {
@@ -190,27 +192,32 @@ fn dist_batch_columns_match_solo_bitwise_across_ranks() {
                 let pa = ParCsr::from_global_rows(&a, s, e, starts.clone(), r);
                 let h = DistHierarchy::build(c, pa, &cfg, dopt);
                 let local: Vec<Vec<f64>> = cols.iter().map(|col| col[s..e].to_vec()).collect();
-                let bb = MultiVec::from_columns(&local);
-                let mut xb = MultiVec::new(e - s, k);
-                let res = dist_amg_solve_multi(c, &h, &bb, &mut xb);
-                assert!(res.all_converged(), "ranks {nranks} overlap {overlap}");
-                for (j, bl) in local.iter().enumerate() {
-                    let mut xl = vec![0.0; e - s];
-                    let solo = dist_amg_solve(c, &h, bl, &mut xl);
-                    assert_eq!(
-                        res.iterations[j], solo.iterations,
-                        "ranks {nranks} overlap {overlap} col {j}"
+                let solos: Vec<_> = local
+                    .iter()
+                    .map(|bl| {
+                        let mut xl = vec![0.0; e - s];
+                        let solo = dist_amg_solve(c, &h, bl, &mut xl);
+                        (solo, xl)
+                    })
+                    .collect();
+                for k in widths {
+                    let bb = MultiVec::from_columns(&local[..k]);
+                    let mut xb = MultiVec::new(e - s, k);
+                    let res = dist_amg_solve_multi(c, &h, &bb, &mut xb);
+                    assert!(
+                        res.all_converged(),
+                        "ranks {nranks} overlap {overlap} k {k}"
                     );
-                    assert_eq!(
-                        res.final_relres[j].to_bits(),
-                        solo.final_relres.to_bits(),
-                        "ranks {nranks} overlap {overlap} col {j}"
-                    );
-                    assert_eq!(
-                        xb.col(j),
-                        xl,
-                        "ranks {nranks} overlap {overlap} col {j}: iterate bits"
-                    );
+                    for (j, (solo, xl)) in solos[..k].iter().enumerate() {
+                        let at = format!("ranks {nranks} overlap {overlap} k {k} col {j}");
+                        assert_eq!(res.iterations[j], solo.iterations, "{at}");
+                        assert_eq!(
+                            res.final_relres[j].to_bits(),
+                            solo.final_relres.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(xb.col(j), *xl, "{at}: iterate bits");
+                    }
                 }
             });
         }
